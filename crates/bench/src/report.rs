@@ -32,6 +32,8 @@
 //! time is always milliseconds; the per-benchmark throughput unit is named
 //! once at the top level.
 
+use trtsim_util::json_string;
+
 /// One timed phase of a benchmark run.
 #[derive(Debug, Clone)]
 pub struct PhaseReport {
@@ -104,33 +106,30 @@ impl BenchReport {
         out.push_str("  \"tool\": \"trtsim-bench\",\n");
         out.push_str("  \"schema_version\": 1,\n");
         out.push_str(&format!(
-            "  \"benchmark\": \"{}\",\n",
-            json_escape(&self.benchmark)
+            "  \"benchmark\": {},\n",
+            json_string(&self.benchmark)
         ));
-        out.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        out.push_str(&format!(
-            "  \"git_rev\": \"{}\",\n",
-            json_escape(&self.git_rev)
-        ));
+        out.push_str(&format!("  \"mode\": {},\n", json_string(&self.mode)));
+        out.push_str(&format!("  \"git_rev\": {},\n", json_string(&self.git_rev)));
         out.push_str(&format!("  \"threads\": {},\n", self.threads));
         out.push_str("  \"wall_unit\": \"ms\",\n");
         out.push_str(&format!(
-            "  \"throughput_unit\": \"{}\",\n",
-            self.throughput_unit
+            "  \"throughput_unit\": {},\n",
+            json_string(&self.throughput_unit)
         ));
         out.push_str("  \"context\": {");
         for (i, (k, v)) in self.context.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("\"{}\": \"{}\"", json_escape(k), json_escape(v)));
+            out.push_str(&format!("{}: {}", json_string(k), json_string(v)));
         }
         out.push_str("},\n");
         out.push_str("  \"phases\": [\n");
         for (i, p) in self.phases.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"throughput\": {}, \"counters\": {{",
-                json_escape(&p.name),
+                "    {{\"name\": {}, \"wall_ms\": {:.3}, \"throughput\": {}, \"counters\": {{",
+                json_string(&p.name),
                 p.wall_ms,
                 match p.throughput {
                     Some(t) => format!("{t:.3}"),
@@ -141,7 +140,7 @@ impl BenchReport {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&format!("\"{}\": {v}", json_escape(k)));
+                out.push_str(&format!("{}: {v}", json_string(k)));
             }
             out.push_str("}}");
             if i + 1 < self.phases.len() {
@@ -155,7 +154,7 @@ impl BenchReport {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("\"{}\": {v:.3}", json_escape(k)));
+            out.push_str(&format!("{}: {v:.3}", json_string(k)));
         }
         out.push_str("},\n");
         out.push_str(&format!(
@@ -217,10 +216,6 @@ fn rev_parse_head() -> Option<String> {
     (!rev.is_empty()).then_some(rev)
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,6 +247,33 @@ mod tests {
             "\"bit_identical\": true",
         ] {
             assert!(json.contains(needle), "missing {needle} in:\n{json}");
+        }
+    }
+
+    #[test]
+    fn control_characters_in_context_are_escaped() {
+        let report = BenchReport {
+            benchmark: "bench_test".into(),
+            mode: "smoke".into(),
+            git_rev: "abc123".into(),
+            threads: 1,
+            throughput_unit: "items_per_sec".into(),
+            context: vec![("note".into(), "a\nb\tc\u{1}d\"e\\".into())],
+            phases: Vec::new(),
+            summary: Vec::new(),
+            bit_identical: true,
+        };
+        let json = report.to_json();
+        assert!(
+            json.contains(r#""note": "a\nb\tc\u0001d\"e\\""#),
+            "context value not escaped:\n{json}"
+        );
+        // No raw control character may survive outside the layout newlines.
+        for line in json.lines() {
+            assert!(
+                !line.chars().any(|c| (c as u32) < 0x20),
+                "raw control in {line:?}"
+            );
         }
     }
 

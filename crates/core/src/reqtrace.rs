@@ -42,7 +42,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use trtsim_gpu::timeline::SpanSeq;
-use trtsim_util::derive_seed;
+use trtsim_util::{derive_seed, json_string};
 
 /// A request-scoped trace identifier: 64 bits, rendered as 16 lowercase hex
 /// digits. Minted by [`TraceIdGen`]; unique per generator, deterministic
@@ -1012,28 +1012,6 @@ fn json_opt_string(v: Option<&str>) -> String {
         Some(v) => json_string(v),
         None => "null".to_string(),
     }
-}
-
-/// RFC 8259 string escaping (quotes, backslash, control characters).
-fn json_string(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

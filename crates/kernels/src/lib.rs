@@ -20,8 +20,9 @@
 //!   labels differ across engine builds).
 //! * [`lanes`] — branch-free `[f32; 8]` lane-array micro-kernels behind the
 //!   prepared conv/FC paths, with per-tactic blocked data layouts (`CHWc8`,
-//!   `NHWC`) and an exact scalar-redo fallback that keeps FP16 rounding
-//!   bit-identical to the reference path.
+//!   `NHWC`). FP16 lanes round through the exact 8-lane binary16 round trip
+//!   (F16C hardware conversion where available), so they stay bit-identical
+//!   to the reference path with no range guard.
 //! * [`generic`] — the un-optimized framework path: one naive im2col+GEMM
 //!   FP32 kernel per layer, with framework-glue overheads. This is the
 //!   baseline that TensorRT beats by 23–27× in Table VII.

@@ -19,25 +19,16 @@ use trtsim_ir::weights::Weights;
 use trtsim_util::f16::{round_f16, QuantParams};
 
 use crate::lanes::{
-    note_scalar_values, note_vector_values, round8, round_f16_slice, LaneConv, F16_HI,
+    dot8_f16, mac8, note_scalar_values, note_vector_values, round_f16_slice, LaneConv,
 };
 use crate::tactic::{AccumOrder, Tactic};
 
-/// Times the FP16 Veltkamp fast path hit a value outside its exact range and
-/// fell back to an exact scalar redo (a lane-kernel tile, or the legacy
-/// snapshot path in `f16_interior_row`). Process lifetime, telemetry-only;
-/// the kernels crate stays free of the metrics dependency by exposing a raw
-/// monotonic count for upper layers to bridge.
-static FP16_REDOS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Process-lifetime count of FP16 fast-path rollback/redo events.
+/// Process-lifetime count of FP16 fast-path rollback/redo events: always
+/// 0, because the vector rounder is exact on every value the kernels feed
+/// it, so no FP16 path rolls back. Kept so telemetry consumers that bridge
+/// the count keep a stable series.
 pub fn fp16_redo_events() -> u64 {
-    FP16_REDOS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Records one FP16 rollback/redo event (lane tiles trap per tile).
-pub(crate) fn note_fp16_redo() {
-    FP16_REDOS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    0
 }
 
 /// Calibration scales for INT8 execution of one layer.
@@ -259,25 +250,6 @@ pub(crate) fn apply_act(activation: Option<Activation>, v: f32) -> f32 {
         Some(a) => a.apply(v),
         None => v,
     }
-}
-
-/// Branch-free round-to-binary16 via the Veltkamp split `round_f16` uses on
-/// its fast path. Only valid where [`fast_f16_ok`] holds — callers must
-/// check the predicate and fall back to [`round_f16`] otherwise.
-#[inline(always)]
-pub(crate) fn veltkamp_f16(v: f32) -> f32 {
-    let c = v * 8193.0;
-    c - (c - v)
-}
-
-/// True when [`veltkamp_f16`] is bit-identical to [`round_f16`]: `v` is ±0
-/// (both are the identity there) or its magnitude lies in the normal-f16
-/// range covered by `round_f16`'s fast path. NaN, infinities, and
-/// subnormal/overflow magnitudes all fail the check.
-#[inline(always)]
-fn fast_f16_ok(v: f32) -> bool {
-    let a = v.abs();
-    (6.103_515_6e-5..=32_768.0).contains(&a) || v == 0.0
 }
 
 fn conv_fp16(
@@ -937,8 +909,8 @@ impl PreparedConv {
     /// The lane-array fast path. FP32 runs unconditionally (exact reference
     /// order, non-finite values propagate identically); FP16 rounds the
     /// input onto the binary16 grid first and drops to the exact dense CHW
-    /// walk when the input or weights carry non-finite values (`0·∞` is
-    /// invisible to the lane kernels' magnitude trap).
+    /// walk when the input or weights carry non-finite values, so NaN
+    /// payloads propagate in the reference order.
     fn run_lanes(
         &self,
         lanes: &LaneConv,
@@ -951,7 +923,6 @@ impl PreparedConv {
             lanes.run(
                 &self.geom,
                 &self.interior,
-                &self.bias,
                 params.activation,
                 input.as_slice(),
                 out.as_mut_slice(),
@@ -965,7 +936,6 @@ impl PreparedConv {
             lanes.run(
                 &self.geom,
                 &self.interior,
-                &self.bias,
                 params.activation,
                 &rx,
                 out.as_mut_slice(),
@@ -1051,12 +1021,12 @@ impl PreparedConv {
                         *out.at_mut(oc, oy, ox) = apply_act(activation, acc_row[i]);
                     }
                 }
-                let border_cols: Box<dyn Iterator<Item = usize>> = if interior_row {
-                    Box::new((0..it.ox_lo).chain(it.ox_hi..g.ow))
+                let (left, right) = if interior_row {
+                    (0..it.ox_lo, it.ox_hi..g.ow)
                 } else {
-                    Box::new(0..g.ow)
+                    (0..g.ow, 0..0)
                 };
-                for ox in border_cols {
+                for ox in left.chain(right) {
                     let mut acc = b;
                     for e in entries {
                         let iy = (oy * g.s) as isize + e.dy;
@@ -1089,31 +1059,23 @@ impl PreparedConv {
         let width = it.ox_hi.saturating_sub(it.ox_lo);
         let mut acc_row = vec![0.0f32; width];
         let mut carry_row = vec![0.0f64; width];
-        let mut snap_row = vec![0.0f32; width];
         for (oc, entries) in sparse.iter().enumerate() {
             let b = self.bias.get(oc).copied().unwrap_or(0.0);
             for oy in 0..g.oh {
                 let interior_row = width > 0 && oy >= it.oy_lo && oy < it.oy_hi;
                 if interior_row {
-                    self.f16_interior_row(
-                        entries,
-                        rx,
-                        oy,
-                        &mut acc_row,
-                        &mut carry_row,
-                        &mut snap_row,
-                    );
+                    self.f16_interior_row(entries, rx, oy, &mut acc_row, &mut carry_row);
                     for (i, ox) in (it.ox_lo..it.ox_hi).enumerate() {
                         let sum = (carry_row[i] + f64::from(acc_row[i])) as f32;
                         *out.at_mut(oc, oy, ox) = apply_act(activation, sum + b);
                     }
                 }
-                let border_cols: Box<dyn Iterator<Item = usize>> = if interior_row {
-                    Box::new((0..it.ox_lo).chain(it.ox_hi..g.ow))
+                let (left, right) = if interior_row {
+                    (0..it.ox_lo, it.ox_hi..g.ow)
                 } else {
-                    Box::new(0..g.ow)
+                    (0..g.ow, 0..0)
                 };
-                for ox in border_cols {
+                for ox in left.chain(right) {
                     // Border pixels drop taps dynamically, so chunk
                     // positions can't be resolved statically; walk the
                     // dense order, skipping zero-weight multiplies.
@@ -1125,13 +1087,8 @@ impl PreparedConv {
     }
 
     /// One whole interior output row of a folded FP16 convolution,
-    /// entry-outer: each nonzero tap streams across every pixel in the row.
-    ///
-    /// The hot loop replaces `round_f16`'s branchy range dispatch with the
-    /// branch-free Veltkamp split ([`veltkamp_f16`]) and folds a validity
-    /// mask across the row; lanes where the product or the updated
-    /// accumulator leave the fast range ([`fast_f16_ok`]) force a rollback
-    /// to a pre-entry snapshot and an exact scalar redo of that one entry.
+    /// entry-outer: each nonzero tap streams across every pixel in the row,
+    /// 8 pixels at a time through the exact 8-lane FP16 multiply-add.
     /// The result is bit-identical to the dense per-pixel walk: zero taps
     /// are *not* skipped here, so even ±0 signs match the naive order.
     fn f16_interior_row(
@@ -1141,10 +1098,8 @@ impl PreparedConv {
         oy: usize,
         acc: &mut [f32],
         carry: &mut [f64],
-        snap: &mut [f32],
     ) {
-        let g = self.geom;
-        let width = acc.len();
+        let s = self.geom.s;
         acc.fill(0.0);
         carry.fill(0.0);
         for e in entries {
@@ -1156,39 +1111,15 @@ impl PreparedConv {
             }
             let w = e.w;
             let src = (self.row_base(oy) + e.delta) as usize;
-            snap.copy_from_slice(acc);
-            let mut bad = 0u32;
-            if g.s == 1 {
-                for (a, &x) in acc.iter_mut().zip(&rx[src..src + width]) {
-                    let t0 = x * w;
-                    bad |= u32::from(!fast_f16_ok(t0));
-                    let t = veltkamp_f16(t0);
-                    let s = *a + t;
-                    bad |= u32::from(!fast_f16_ok(s));
-                    *a = veltkamp_f16(s);
-                }
-            } else {
-                for (i, a) in acc.iter_mut().enumerate() {
-                    let t0 = rx[src + i * g.s] * w;
-                    bad |= u32::from(!fast_f16_ok(t0));
-                    let t = veltkamp_f16(t0);
-                    let s = *a + t;
-                    bad |= u32::from(!fast_f16_ok(s));
-                    *a = veltkamp_f16(s);
-                }
+            let done = acc.len() / LANES * LANES;
+            for (i, a) in acc.chunks_exact_mut(LANES).enumerate() {
+                let x0 = src + i * LANES * s;
+                let xv = std::array::from_fn(|l| rx[x0 + l * s]);
+                let prev: [f32; LANES] = a.try_into().expect("chunk of LANES");
+                a.copy_from_slice(&mac8::<true>(prev, xv, [w; LANES]));
             }
-            if bad != 0 {
-                FP16_REDOS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                acc.copy_from_slice(snap);
-                if g.s == 1 {
-                    for (a, &x) in acc.iter_mut().zip(&rx[src..src + width]) {
-                        *a = round_f16(*a + round_f16(x * w));
-                    }
-                } else {
-                    for (i, a) in acc.iter_mut().enumerate() {
-                        *a = round_f16(*a + round_f16(rx[src + i * g.s] * w));
-                    }
-                }
+            for (i, a) in acc.iter_mut().enumerate().skip(done) {
+                *a = round_f16(*a + round_f16(rx[src + i * s] * w));
             }
         }
     }
@@ -1231,12 +1162,12 @@ impl PreparedConv {
                         *out.at_mut(oc, oy, ox) = apply_act(activation, v);
                     }
                 }
-                let border_cols: Box<dyn Iterator<Item = usize>> = if interior_row {
-                    Box::new((0..it.ox_lo).chain(it.ox_hi..g.ow))
+                let (left, right) = if interior_row {
+                    (0..it.ox_lo, it.ox_hi..g.ow)
                 } else {
-                    Box::new(0..g.ow)
+                    (0..g.ow, 0..0)
                 };
-                for ox in border_cols {
+                for ox in left.chain(right) {
                     let mut acc: i64 = 0;
                     for e in entries {
                         let iy = (oy * g.s) as isize + e.dy;
@@ -1329,7 +1260,7 @@ impl PreparedFc {
         let lanes = match tactic.precision {
             Precision::Fp32 => Some(FcLanes::build(&weights, &bias, out_features, usize::MAX)),
             // Pairwise trees can't lane (shape depends on term count);
-            // non-finite rounded weights would hide 0·∞ from the trap.
+            // non-finite rounded weights take the exact reducer walk.
             Precision::Fp16
                 if tactic.accum != AccumOrder::Pairwise
                     && weights.iter().all(|v| v.is_finite()) =>
@@ -1392,8 +1323,8 @@ impl PreparedFc {
         let finite = round_f16_slice(&mut rx);
         let mut out = arena.alloc_zeroed([self.out_features, 1, 1]);
         match &self.lanes {
-            // Non-finite inputs would hide 0·∞ from the magnitude trap;
-            // take the exact reducer walk instead.
+            // Non-finite inputs take the exact reducer walk, which keeps
+            // the reference's NaN propagation order.
             Some(lanes) if finite => self.run_lanes_f16(lanes, &rx, activation, &mut out),
             _ => {
                 note_scalar_values(self.out_features as u64);
@@ -1429,9 +1360,8 @@ impl PreparedFc {
         note_vector_values(self.out_features as u64);
     }
 
-    /// FP16 lane kernel with the magnitude trap: any block that fed a value
-    /// beyond the branch-free rounder's exact range to [`round8`] is redone
-    /// through the exact [`Reducer`] path.
+    /// FP16 lane kernel: 8 output features advance together, each in the
+    /// exact [`Reducer`] order with every product and partial rounded.
     fn run_lanes_f16(
         &self,
         lanes: &FcLanes,
@@ -1439,64 +1369,14 @@ impl PreparedFc {
         activation: Option<Activation>,
         out: &mut Tensor,
     ) {
-        let in_features = rx.len();
         for (b, wb) in lanes.w.iter().enumerate() {
             let real = (self.out_features - b * LANES).min(LANES);
-            let mut acc = [0.0f32; LANES];
-            let mut carry = [0.0f64; LANES];
-            let mut maxa = [0.0f32; LANES];
-            let mut ic = 0usize;
-            for (wv, &xv) in wb.iter().zip(rx) {
-                let mut p = [0.0f32; LANES];
-                for l in 0..LANES {
-                    p[l] = xv * wv[l];
-                }
-                for l in 0..LANES {
-                    maxa[l] = maxa[l].max(p[l].abs());
-                }
-                let p = round8(p);
-                let mut s = [0.0f32; LANES];
-                for l in 0..LANES {
-                    s[l] = acc[l] + p[l];
-                }
-                for l in 0..LANES {
-                    maxa[l] = maxa[l].max(s[l].abs());
-                }
-                acc = round8(s);
-                ic += 1;
-                if ic == lanes.chunk {
-                    for l in 0..LANES {
-                        carry[l] += f64::from(acc[l]);
-                        acc[l] = 0.0;
-                    }
-                    ic = 0;
-                }
-            }
-            if maxa.iter().any(|&m| m > F16_HI) {
-                note_fp16_redo();
-                note_scalar_values(real as u64);
-                let mut reducer = Reducer::for_tactic(&self.tactic);
-                let mut terms = Vec::with_capacity(in_features);
-                for l in 0..real {
-                    let o = b * LANES + l;
-                    terms.clear();
-                    let row = &self.weights[o * in_features..(o + 1) * in_features];
-                    for (xi, wi) in rx.iter().zip(row) {
-                        terms.push(round_f16(xi * wi));
-                    }
-                    let v = reducer.reduce(&terms) + self.bias.get(o).copied().unwrap_or(0.0);
-                    *out.at_mut(o, 0, 0) = apply_act(activation, v);
-                }
-            } else {
-                note_vector_values(real as u64);
-                for l in 0..real {
-                    let o = b * LANES + l;
-                    let v = (carry[l] + f64::from(acc[l])) as f32
-                        + self.bias.get(o).copied().unwrap_or(0.0);
-                    *out.at_mut(o, 0, 0) = apply_act(activation, v);
-                }
+            let v = dot8_f16(rx, wb, lanes.bias_v[b], lanes.chunk);
+            for (l, &a) in v.iter().enumerate().take(real) {
+                *out.at_mut(b * LANES + l, 0, 0) = apply_act(activation, a);
             }
         }
+        note_vector_values(self.out_features as u64);
     }
 
     /// The legacy exact FP16 walk (`rx` already on the binary16 grid).
@@ -1755,6 +1635,13 @@ mod tests {
             let mut strided = strided_conv(33);
             prune(&mut strided, 0.15);
             assert_prepared_matches(&strided, &strided_input(34), &tactic, None);
+            // Interior rows wider than 8 pixels: the grouped row walk's
+            // vector chunks plus a scalar tail, at stride 2 and 1.
+            let mut rng = Pcg32::seed_from_u64(35);
+            let wide_input = Tensor::from_fn([4, 9, 40], |_, _, _| rng.normal() as f32);
+            assert_prepared_matches(&strided, &wide_input, &tactic, None);
+            strided.stride = 1;
+            assert_prepared_matches(&strided, &wide_input, &tactic, None);
         }
     }
 
@@ -1880,6 +1767,24 @@ mod tests {
         let input = Tensor::from_fn([6, 7, 9], |_, _, _| rng.normal() as f32);
         assert_layouts_match(&params, &input, &Tactic::conv_fp32(128, 64));
         assert_layouts_match(&params, &input, &Tactic::conv_hmma(128, 64, ""));
+        // A strided 5x5 window wider than the input: every pixel is a
+        // border pixel, clipped on both sides.
+        let wide = ConvParams {
+            kernel_h: 5,
+            kernel_w: 5,
+            stride: 2,
+            pad_h: 2,
+            pad_w: 2,
+            weights: Weights::Dense(
+                (0..10 * 6 * 25)
+                    .map(|_| rng.normal() as f32 * 0.2)
+                    .collect(),
+            ),
+            ..params
+        };
+        let small = Tensor::from_fn([6, 3, 4], |_, _, _| rng.normal() as f32);
+        assert_layouts_match(&wide, &small, &Tactic::conv_fp32(128, 64));
+        assert_layouts_match(&wide, &small, &Tactic::conv_hmma(128, 64, ""));
     }
 
     #[test]
@@ -1991,6 +1896,109 @@ mod tests {
                 want
             );
         }
+    }
+
+    /// Rescales values to magnitudes in `[1e4, 6e4]`, keeping their sign.
+    fn huge(rng: &mut Pcg32, n: usize) -> Vec<f32> {
+        (0..n)
+            .map(|_| {
+                let m = 1e4 + 5e4 * rng.next_f64() as f32;
+                if rng.next_f64() < 0.5 {
+                    -m
+                } else {
+                    m
+                }
+            })
+            .collect()
+    }
+
+    fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len());
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what} elem {i}: {a:e} vs {b:e}");
+        }
+    }
+
+    /// Products and partial sums past binary16's 65504 (±∞ products,
+    /// ∞ − ∞ partials): the lane kernels, the legacy row walk and the FC
+    /// lanes must still match the scalar reference bit for bit.
+    #[test]
+    fn fp16_overflowing_products_and_partials_stay_bit_identical() {
+        let mut rng = Pcg32::seed_from_u64(97);
+        let mut seq = Tactic::conv_hmma(128, 64, "");
+        seq.accum = AccumOrder::Sequential;
+        let mut chunk_small = Tactic::conv_hmma(128, 64, "");
+        chunk_small.accum = AccumOrder::Chunked(4);
+        let tactics = [Tactic::conv_hmma(128, 64, ""), chunk_small, seq];
+        // Reference outputs seen as [finite, ±∞, NaN].
+        let mut seen = [0usize; 3];
+        let mut tally = |t: &Tensor| {
+            for v in t.as_slice() {
+                seen[usize::from(v.is_infinite()) + 2 * usize::from(v.is_nan())] += 1;
+            }
+        };
+        let scaled = |rng: &mut Pcg32, n: usize, scale: f32| -> Weights {
+            Weights::Dense(huge(rng, n).iter().map(|v| v * scale).collect())
+        };
+
+        // Weights of 0.2–1.2 overflow single products; 0.05–0.3 overflow
+        // only partial sums, leaving a mix of finite and infinite outputs.
+        for scale in [2e-5f32, 5e-6] {
+            // Ungrouped (lane kernel, every layout pair), ragged channels.
+            let params = ConvParams {
+                out_channels: 10,
+                in_channels: 6,
+                weights: scaled(&mut rng, 10 * 6 * 9, scale),
+                bias: Weights::Dense(vec![0.5; 10]),
+                activation: None,
+                ..test_conv(98)
+            };
+            let input = Tensor::from_vec([6, 7, 9], huge(&mut rng, 6 * 7 * 9));
+            // Depthwise (every pixel through the bounds-checked lanes).
+            let dw_params = ConvParams {
+                out_channels: 12,
+                in_channels: 12,
+                groups: 12,
+                weights: scaled(&mut rng, 12 * 9, scale),
+                bias: Weights::Dense(vec![0.0; 12]),
+                activation: None,
+                ..test_conv(99)
+            };
+            let dw_input = Tensor::from_vec([12, 6, 6], huge(&mut rng, 12 * 36));
+            // Fully connected.
+            let (out_features, in_features) = (10, 48);
+            let fc_w = scaled(&mut rng, out_features * in_features, scale);
+            let fc_b = Weights::Dense(vec![0.25; out_features]);
+            let x = Tensor::from_vec([in_features, 1, 1], huge(&mut rng, in_features));
+            for tactic in &tactics {
+                tally(&conv_forward(&params, &input, tactic, None));
+                assert_layouts_match(&params, &input, tactic);
+                let mut dw = tactic.clone();
+                dw.family = crate::tactic::TacticFamily::Depthwise;
+                tally(&conv_forward(&dw_params, &dw_input, &dw, None));
+                assert_layouts_match(&dw_params, &dw_input, &dw);
+
+                let (w, b) = (fc_w.materialize(), fc_b.materialize());
+                let want = fc_forward(&x, &w, &b, out_features, None, tactic);
+                tally(&want);
+                let prepared = PreparedFc::new(&fc_w, &fc_b, out_features, tactic);
+                let got = prepared.run(&x, None, &mut TensorArena::new());
+                assert_bits_eq(got.as_slice(), want.as_slice(), "fc");
+            }
+        }
+
+        // Grouped (legacy sparse row walk), strided, rows of 19 pixels.
+        let mut grouped = strided_conv(100);
+        grouped.weights = scaled(&mut rng, 6 * 2 * 5 * 3, 1e-5);
+        let g_input = Tensor::from_vec([4, 9, 40], huge(&mut rng, 4 * 9 * 40));
+        for tactic in &tactics {
+            let want = conv_forward(&grouped, &g_input, tactic, None);
+            tally(&want);
+            let prepared = PreparedConv::new(&grouped, g_input.shape(), tactic, None);
+            let got = prepared.run(&grouped, &g_input, &mut TensorArena::new());
+            assert_bits_eq(got.as_slice(), want.as_slice(), "grouped");
+        }
+        assert!(seen.iter().all(|&n| n > 0), "[finite, inf, nan] = {seen:?}");
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Exposition formats: Prometheus text and a JSON snapshot.
 
+use trtsim_util::json_string;
+
 use super::registry::{FamilySnapshot, Registry, SeriesValue};
 
 /// Renders the registry in the Prometheus text exposition format
@@ -239,25 +241,6 @@ fn json_f64(v: f64) -> String {
     } else {
         "null".to_string()
     }
-}
-
-/// JSON string literal with the mandatory RFC 8259 escapes.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

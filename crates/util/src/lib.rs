@@ -42,6 +42,38 @@ pub use f16::F16;
 pub use rng::{Pcg32, SplitMix64};
 pub use stats::{RunningStats, Summary};
 
+/// Renders `s` as a JSON string literal, quotes included, with every escape
+/// RFC 8259 requires (quote, backslash and all control characters).
+///
+/// The workspace's hand-rolled JSON writers (bench reports, telemetry
+/// snapshots, chrome traces, request traces) all quote strings through this.
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(trtsim_util::json_string("a\"b\n\u{1}"), r#""a\"b\n\u0001""#);
+/// ```
+pub fn json_string(s: &str) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 /// Combines a base seed with a domain label and an index into a new seed.
 ///
 /// Used throughout the workspace to derive independent random streams (e.g.
